@@ -46,45 +46,60 @@ struct SchedTestbed {
   baselines::AdjustmentCostModel costs{topology, bandwidth, fs};
 };
 
-/// Measures FlightRecorder::record() both ways and gates the disabled path:
-/// the always-on contract is one relaxed atomic load, so it must sit in the
-/// measurement noise (the 500 ns/op ceiling is ~100x the typical cost — the
-/// gate only catches someone accidentally putting work before the enabled()
-/// check). Returns {disabled_ns, enabled_ns} for the header line.
-inline std::pair<double, double> measure_flight_overhead() {
+struct FlightOverhead {
+  double disabled_ns = 0;  // record() with the recorder off
+  double enabled_ns = 0;   // record() with the recorder on
+  double span_off_ns = 0;  // ELAN_TRACE_SCOPE with the recorder on, capture off
+};
+
+/// Measures FlightRecorder::record() both ways plus a span scope with
+/// capture off, and gates the two disabled paths: each is one relaxed
+/// atomic load, so it must sit in the measurement noise (the 500 ns/op
+/// ceiling is ~100x the typical cost — the gate only catches someone
+/// accidentally putting work before the enabled()/capturing() check).
+inline FlightOverhead measure_flight_overhead() {
   using clock = std::chrono::steady_clock;
   constexpr int kIters = 200000;
   const bool was_enabled = obs::FlightRecorder::enabled();
-  const auto time_loop = [&] {
+  const bool was_capturing = obs::FlightRecorder::capturing();
+  const auto time_loop = [&](auto&& body) {
     const auto t0 = clock::now();
-    for (int i = 0; i < kIters; ++i) {
-      obs::FlightRecorder::record(obs::FlightEventKind::kMsgSend, "bench");
-    }
+    for (int i = 0; i < kIters; ++i) body();
     return std::chrono::duration<double, std::nano>(clock::now() - t0)
                .count() / kIters;
   };
+  const auto record = [] {
+    obs::FlightRecorder::record(obs::FlightEventKind::kMsgSend, "bench");
+  };
+  FlightOverhead overhead;
   obs::FlightRecorder::set_enabled(false);
-  const double disabled_ns = time_loop();
+  overhead.disabled_ns = time_loop(record);
   obs::FlightRecorder::set_enabled(true);
-  const double enabled_ns = time_loop();
+  overhead.enabled_ns = time_loop(record);
+  obs::FlightRecorder::set_capture(false);
+  overhead.span_off_ns = time_loop([] { ELAN_TRACE_SCOPE("bench", "span"); });
+  obs::FlightRecorder::set_capture(was_capturing);
   obs::FlightRecorder::set_enabled(was_enabled);
   // Headers run before any real work: dropping the measurement events keeps
   // an ELAN_FLIGHT= record free of 200k "bench" entries.
   obs::FlightRecorder::instance().clear();
-  require(disabled_ns < 500.0,
+  require(overhead.disabled_ns < 500.0,
           "flight recorder disabled path exceeds the noise ceiling");
-  return {disabled_ns, enabled_ns};
+  require(overhead.span_off_ns < 500.0,
+          "span scope with capture off exceeds the noise ceiling");
+  return overhead;
 }
 
 inline void print_header(const std::string& title, const std::string& note = "") {
   // Every bench calls this first, so it doubles as the observability hook:
-  // ELAN_TRACE=/ELAN_METRICS= give any bench a trace / metrics sidecar
-  // without per-binary wiring (dumped via atexit).
+  // ELAN_TRACE=/ELAN_METRICS= give any bench a trace record / metrics
+  // sidecar without per-binary wiring (dumped via atexit).
   obs::init_from_env();
-  const auto [disabled_ns, enabled_ns] = measure_flight_overhead();
+  const FlightOverhead overhead = measure_flight_overhead();
   std::printf("\n=== %s ===\n", title.c_str());
-  std::printf("flight recorder: disabled %.1f ns/op, enabled %.1f ns/op\n",
-              disabled_ns, enabled_ns);
+  std::printf("flight recorder: disabled %.1f ns/op, enabled %.1f ns/op, "
+              "span with capture off %.1f ns/op\n",
+              overhead.disabled_ns, overhead.enabled_ns, overhead.span_off_ns);
   if (!note.empty()) std::printf("%s\n", note.c_str());
   std::printf("\n");
 }

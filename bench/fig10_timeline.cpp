@@ -32,11 +32,11 @@ void print_gantt(const std::vector<Phase>& phases, Seconds t0, Seconds t1) {
 
 AdjustmentRecord run(Mechanism mech) {
   sim::Simulator sim;
-  // With ELAN_TRACE set, each mechanism's run lands in its own pid lane on
-  // the simulator's virtual clock — Perfetto shows the two timelines side by
-  // side, S&R's serial restart chain vs Elan's overlapping replication.
+  // With ELAN_TRACE set, each mechanism's run lands in its own process lane
+  // on the simulator's virtual clock — Perfetto shows the two timelines side
+  // by side, S&R's serial restart chain vs Elan's overlapping replication.
   obs::ScopedSimClock trace_clock(sim);
-  obs::Tracer::instance().set_pid(mech == Mechanism::kElan ? 2 : 1, to_string(mech));
+  obs::FlightRecorder::mark_lane(to_string(mech));
   topo::Topology topology{topo::TopologySpec{}};
   topo::BandwidthModel bandwidth;
   storage::SimFilesystem fs;

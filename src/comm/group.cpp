@@ -4,7 +4,7 @@
 
 #include "common/error.h"
 #include "common/thread_pool.h"
-#include "obs/trace.h"
+#include "obs/flight.h"
 
 namespace elan::comm {
 

@@ -5,8 +5,8 @@
 
 #include "common/error.h"
 #include "common/thread_pool.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "topology/bandwidth.h"
 
 namespace elan::comm {
@@ -142,23 +142,19 @@ void RingAllreduce::run(std::vector<std::vector<double>*> per_rank,
     } else {
       allgather_step(*state, step - (n_ - 1));
     }
-    if (obs::Tracer::enabled()) {
-      // This callback runs at the *end* of the step, so the span covers the
-      // preceding [now - step_time, now) virtual interval. Explicit sim-time
-      // timestamps — the tracer clock is bypassed on purpose.
-      obs::Tracer::instance().complete(
-          "comm", step < n_ - 1 ? "reduce_scatter" : "allgather",
-          (sim_->now() - state->step_time) * 1e6, state->step_time * 1e6,
-          "{\"step\":" + std::to_string(step) + "}");
+    // This callback runs at the *end* of the step, so the span covers the
+    // preceding [now - step_time, now) virtual interval. Explicit sim-time
+    // timestamps — the recorder clock is bypassed on purpose.
+    if (obs::FlightRecorder::capturing()) {
+      obs::FlightRecorder::span("comm", step < n_ - 1 ? "reduce_scatter" : "allgather",
+                                (sim_->now() - state->step_time) * 1e6,
+                                state->step_time * 1e6);
     }
     if (step + 1 == 2 * (n_ - 1)) {
       // This callback runs at the end of the final step: all time charged.
       last_duration_ = sim_->now() - state->started_at;
-      if (obs::Tracer::enabled()) {
-        obs::Tracer::instance().complete("comm", "ring_allreduce", state->started_at * 1e6,
-                                         last_duration_ * 1e6,
-                                         "{\"ranks\":" + std::to_string(n_) + "}");
-      }
+      obs::FlightRecorder::span("comm", "ring_allreduce", state->started_at * 1e6,
+                                last_duration_ * 1e6);
       static auto& runs_total = obs::MetricsRegistry::instance().counter(
           "elan_ring_allreduce_runs_total", "Completed simulated ring allreduces");
       static auto& duration_hist = obs::MetricsRegistry::instance().histogram(

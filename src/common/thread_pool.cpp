@@ -6,8 +6,8 @@
 #include <memory>
 #include <utility>
 
+#include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace elan {
 
@@ -33,20 +33,6 @@ void ThreadPool::enqueue(std::function<void()> task) {
   static auto& tasks_total = obs::MetricsRegistry::instance().counter(
       "elan_threadpool_tasks_total", "Tasks submitted to the thread pool");
   tasks_total.add(1);
-  if (obs::Tracer::enabled()) {
-    // Wrap the task so the trace shows queue-wait separately from run time.
-    // The wrapper allocates, but only when tracing is on.
-    const double enqueued_us = obs::Tracer::instance().now_us();
-    task = [inner = std::move(task), enqueued_us] {
-      auto& tracer = obs::Tracer::instance();
-      const double start_us = tracer.now_us();
-      if (start_us > enqueued_us) {
-        tracer.complete("threadpool", "queue_wait", enqueued_us, start_us - enqueued_us);
-      }
-      ELAN_TRACE_SCOPE("threadpool", "task_run");
-      inner();
-    };
-  }
   {
     MutexLock lock(mutex_);
     ELAN_CHECK(!stop_, "ThreadPool: submit after shutdown");
@@ -109,14 +95,29 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end, std::int64_t
 
   for (std::int64_t b = begin; b < end; b += grain) {
     const std::int64_t e = std::min(end, b + grain);
+    // Trace capture shows each chunk's queue wait apart from its run time;
+    // -1 marks capture off.
+    const double enqueued_us =
+        obs::FlightRecorder::capturing() ? obs::FlightRecorder::now_us() : -1.0;
     // `fn` is captured by reference: the loop below does not return before
     // every chunk completed, so the reference outlives the tasks.
-    enqueue([sync, &fn, b, e] {
+    enqueue([sync, &fn, b, e, enqueued_us] {
+      const double start_us = enqueued_us < 0 ? 0.0 : obs::FlightRecorder::now_us();
       try {
         fn(b, e);
       } catch (...) {
         MutexLock lock(sync->m);
         if (!sync->error) sync->error = std::current_exception();
+      }
+      if (enqueued_us >= 0) {
+        // Recorded before completion is signalled, so a caller returning
+        // from parallel_for finds every chunk's spans in the recorder.
+        if (start_us > enqueued_us) {
+          obs::FlightRecorder::span("threadpool", "queue_wait", enqueued_us,
+                                    start_us - enqueued_us);
+        }
+        obs::FlightRecorder::span("threadpool", "task_run", start_us,
+                                  obs::FlightRecorder::now_us() - start_us);
       }
       bool last = false;
       {

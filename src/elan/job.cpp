@@ -7,7 +7,6 @@
 #include "common/serialize.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "topology/topology.h"
 
 namespace elan {
@@ -381,22 +380,9 @@ void ElasticJob::coordinate_round() {
   obs::FlightRecorder::record(obs::FlightEventKind::kRoundStart,
                               config_.job_id.c_str(), nullptr, iteration_,
                               static_cast<std::uint64_t>(workers_.size()));
-  const Seconds round_started = sim_.now();
   for (auto& [id, worker] : workers_) {
     const int worker_id = id;
-    worker->coordinate(iteration_, [this, worker_id, round_started](
-                                       const DecisionMsg& decision) {
-      if (obs::Tracer::enabled()) {
-        // Sim-time span per worker, on a per-worker tid lane: the round is a
-        // fan-out, so the overlap (and any straggling reply) is visible.
-        obs::Tracer::instance().complete(
-            "coordination", "round", round_started * 1e6,
-            (sim_.now() - round_started) * 1e6,
-            "{\"worker\":" + std::to_string(worker_id) +
-                ",\"iteration\":" + std::to_string(iteration_) +
-                ",\"adjust\":" + (decision.adjust ? "true" : "false") + "}",
-            static_cast<std::uint64_t>(worker_id));
-      }
+    worker->coordinate(iteration_, [this, worker_id](const DecisionMsg& decision) {
       obs::FlightRecorder::record(obs::FlightEventKind::kRoundDecision,
                                   config_.job_id.c_str(), nullptr, iteration_,
                                   static_cast<std::uint64_t>(worker_id),
@@ -753,13 +739,6 @@ void ElasticJob::apply_replication_chunk(const std::shared_ptr<ReplicationSessio
                                 config_.job_id.c_str(), nullptr, transfer.chunk,
                                 static_cast<std::uint64_t>(transfer.dest_worker),
                                 static_cast<std::uint64_t>(transfer.source_worker));
-    if (obs::Tracer::enabled()) {
-      obs::Tracer::instance().instant(
-          "fault", "chunk_source_lost",
-          "{\"src\":" + std::to_string(transfer.source_worker) +
-              ",\"dst\":" + std::to_string(transfer.dest_worker) +
-              ",\"chunk\":" + std::to_string(transfer.chunk) + "}");
-    }
     return;
   }
 
@@ -785,16 +764,9 @@ void ElasticJob::apply_replication_chunk(const std::shared_ptr<ReplicationSessio
                               static_cast<std::uint64_t>(transfer.dest_worker),
                               static_cast<std::uint64_t>(transfer.source_worker));
 
-  if (obs::Tracer::enabled()) {
-    obs::Tracer::instance().complete(
-        "replication", "chunk", (round_base + transfer.start) * 1e6, transfer.duration * 1e6,
-        "{\"src\":" + std::to_string(transfer.source_worker) +
-            ",\"dst\":" + std::to_string(transfer.dest_worker) +
-            ",\"chunk\":" + std::to_string(transfer.chunk) + ",\"link\":\"" +
-            obs::json_escape(topo::to_string(transfer.level)) +
-            "\",\"relay\":" + (transfer.relay ? "true" : "false") + "}",
-        static_cast<std::uint64_t>(transfer.dest_worker));
-  }
+  obs::FlightRecorder::span("replication", "chunk", (round_base + transfer.start) * 1e6,
+                            transfer.duration * 1e6,
+                            static_cast<std::uint64_t>(transfer.dest_worker));
 }
 
 void ElasticJob::execute_elan_adjustment(AdjustmentRecord record, const AdjustmentPlan& plan) {
@@ -829,29 +801,21 @@ void ElasticJob::execute_elan_adjustment(AdjustmentRecord record, const Adjustme
     }
     schedule_chunk_round(session, schedule);
 
-    if (obs::Tracer::enabled()) {
+    if (obs::FlightRecorder::capturing()) {
       // One aggregated sim-time span per destination (first chunk start to
-      // completion), laid out on the destination worker's tid lane: streams
+      // completion), laid out on the destination worker's lane: streams
       // over distinct links overlap — the concurrency §IV-3 claims over
       // serial replication — while the per-chunk spans above show the
       // interleaving inside each stream.
       const Seconds base = sim_.now();
-      auto& tracer = obs::Tracer::instance();
       for (const auto& [dest, gpu] : request.joining) {
         Seconds first = replication_time;
-        int source = -1;
         for (const auto& t : schedule.transfers) {
-          if (t.dest_worker != dest) continue;
-          if (t.chunk == 0) source = t.source_worker;
-          first = std::min(first, t.start);
+          if (t.dest_worker == dest) first = std::min(first, t.start);
         }
-        tracer.complete(
-            "replication", "transfer", (base + first) * 1e6,
-            (schedule.completion.at(dest) - first) * 1e6,
-            "{\"src\":" + std::to_string(source) + ",\"dst\":" + std::to_string(dest) +
-                ",\"chunks\":" + std::to_string(schedule.num_chunks) +
-                ",\"gpu_bytes\":" + std::to_string(request.gpu_state_bytes) + "}",
-            static_cast<std::uint64_t>(dest));
+        obs::FlightRecorder::span("replication", "transfer", (base + first) * 1e6,
+                                  (schedule.completion.at(dest) - first) * 1e6,
+                                  static_cast<std::uint64_t>(dest));
       }
     }
   }
@@ -941,13 +905,6 @@ void ElasticJob::complete_elan_replication(AdjustmentRecord record, AdjustmentPl
     log_warn() << config_.job_id << ": replication source died mid-transfer; resuming "
                << resume.size() << " destination(s) from " << kept
                << " verified chunk(s) (+" << redo.total_time << "s)";
-    if (obs::Tracer::enabled()) {
-      obs::Tracer::instance().instant(
-          "fault", "replication_replanned",
-          "{\"destinations\":" + std::to_string(resume.size()) +
-              ",\"resumed_chunks\":" + std::to_string(kept) +
-              ",\"extra_seconds\":" + std::to_string(redo.total_time) + "}");
-    }
     // The resume round has its own window and can itself lose a source.
     schedule_chunk_round(session, redo);
     sim_.schedule(redo.total_time,
@@ -1094,16 +1051,11 @@ void ElasticJob::finish_adjustment(AdjustmentRecord record, const AdjustmentPlan
                               static_cast<std::uint64_t>(record.workers_after),
                               static_cast<std::uint64_t>(failed_joins.size()));
 
-  if (obs::Tracer::enabled()) {
-    auto& tracer = obs::Tracer::instance();
+  if (obs::FlightRecorder::capturing()) {
     // Whole-adjustment span first: category/name "adjustment"/"adjustment"
     // is the key elan_trace_report uses for critical-path shares.
-    tracer.complete(
-        "adjustment", "adjustment", record.started_at * 1e6, record.pause_time() * 1e6,
-        std::string("{\"type\":\"") + to_string(record.type) +
-            "\",\"mechanism\":\"" + to_string(config_.mechanism) +
-            "\",\"workers\":\"" + std::to_string(record.workers_before) + "->" +
-            std::to_string(record.workers_after) + "\"}");
+    obs::FlightRecorder::span("adjustment", "adjustment", record.started_at * 1e6,
+                              record.pause_time() * 1e6);
     // Then the breakdown as back-to-back spans in total()'s field order —
     // the phases are modelled as sequential, so this reconstructs the
     // paper's Fig 10/11 stacked timeline.
@@ -1120,7 +1072,7 @@ void ElasticJob::finish_adjustment(AdjustmentRecord record, const AdjustmentPlan
     Seconds at = record.started_at;
     for (const auto& [name, dur] : phases) {
       if (dur <= 0) continue;
-      tracer.complete("adjustment", name, at * 1e6, dur * 1e6);
+      obs::FlightRecorder::span("adjustment", name, at * 1e6, dur * 1e6);
       at += dur;
     }
   }

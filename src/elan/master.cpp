@@ -5,7 +5,6 @@
 #include "common/error.h"
 #include "common/log.h"
 #include "obs/flight.h"
-#include "obs/trace.h"
 
 namespace elan {
 
@@ -48,16 +47,6 @@ ApplicationMaster::~ApplicationMaster() {
 }
 
 void ApplicationMaster::set_phase_locked(AmPhase next) {
-  if (obs::Tracer::enabled()) {
-    // One span per phase the AM has just left, named "phase/<name>", so the
-    // timeline shows how long the AM spent waiting for reports vs adjusting.
-    auto& tracer = obs::Tracer::instance();
-    const double now_us = tracer.now_us();
-    tracer.complete("master", std::string("phase/") + to_string(phase_), phase_started_us_,
-                    now_us - phase_started_us_,
-                    "{\"job\":\"" + obs::json_escape(job_id_) + "\"}");
-    phase_started_us_ = now_us;
-  }
   const AmPhase prev = phase_;
   phase_ = next;
   obs::FlightRecorder::record(obs::FlightEventKind::kAmPhase, name_.c_str(),
@@ -101,10 +90,6 @@ void ApplicationMaster::on_report_timeout() {
                                 static_cast<std::uint64_t>(id), plan_.version);
     log_warn() << name_ << ": evicting joining worker " << id
                << " (no report within " << params_.report_timeout << "s)";
-    if (obs::Tracer::enabled()) {
-      obs::Tracer::instance().instant(
-          "master", "evict_joining", "{\"worker\":" + std::to_string(id) + "}");
-    }
   }
   pending_reports_.clear();
   if (plan_.join.empty() && plan_.type != AdjustmentType::kScaleIn) {
@@ -280,10 +265,6 @@ void ApplicationMaster::on_report(const ReportMsg& msg) {
     // Duplicate or stale report (e.g. resent after an AM restart): ignore.
     return;
   }
-  if (obs::Tracer::enabled()) {
-    obs::Tracer::instance().instant(
-        "master", "worker_report", "{\"worker\":" + std::to_string(msg.worker) + "}");
-  }
   obs::FlightRecorder::record(obs::FlightEventKind::kWorkerReport,
                               name_.c_str(), nullptr,
                               static_cast<std::uint64_t>(msg.worker),
@@ -311,11 +292,6 @@ void ApplicationMaster::on_coordinate(const CoordinateMsg& msg, const std::strin
       decision.adjust = true;
       decision.plan = plan_;
       if (phase_ == AmPhase::kReady) {
-        if (obs::Tracer::enabled()) {
-          obs::Tracer::instance().instant(
-              "master", "instruct_adjustment",
-              "{\"plan_version\":" + std::to_string(plan_.version) + "}");
-        }
         set_phase_locked(AmPhase::kAdjusting);
         persist();
       }

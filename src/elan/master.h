@@ -170,9 +170,6 @@ class ApplicationMaster {
 
   mutable Mutex mu_{"application_master"};
   AmPhase phase_ ELAN_GUARDED_BY(mu_) = AmPhase::kSteady;
-  // Tracer-clock timestamp of the last phase transition; each transition
-  // emits a span covering the phase that just ended (category "master").
-  double phase_started_us_ ELAN_GUARDED_BY(mu_) = 0;
   std::map<int, topo::GpuId> workers_ ELAN_GUARDED_BY(mu_);
   AdjustmentPlan plan_ ELAN_GUARDED_BY(mu_);
   // Joining workers that have not reported yet.

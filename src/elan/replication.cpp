@@ -6,8 +6,8 @@
 #include <tuple>
 
 #include "common/error.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace elan {
 
@@ -42,8 +42,8 @@ ReplicationPlan ReplicationPlanner::plan(const ReplicationRequest& request) cons
 
   ReplicationPlan plan;
   if (request.joining.empty()) return plan;
-  ELAN_TRACE_COUNTER("replication", "joining_workers",
-                     static_cast<double>(request.joining.size()));
+  obs::FlightRecorder::counter("replication", "joining_workers",
+                               static_cast<double>(request.joining.size()));
 
   // --- Source selection -----------------------------------------------------
   //

@@ -5,7 +5,6 @@
 
 #include "common/log.h"
 #include "obs/flight.h"
-#include "obs/trace.h"
 
 namespace elan::fault {
 
@@ -65,9 +64,6 @@ void FaultInjector::record(std::string what) {
   obs::FlightRecorder::record(obs::FlightEventKind::kFaultInjected, "fault",
                               what.c_str(),
                               static_cast<std::uint64_t>(injected_.size()));
-  if (obs::Tracer::enabled()) {
-    obs::Tracer::instance().instant("fault", what);
-  }
   injected_.push_back(std::move(what));
 }
 

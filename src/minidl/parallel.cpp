@@ -4,8 +4,8 @@
 
 #include "comm/group.h"
 #include "common/thread_pool.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace elan::minidl {
 

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -28,6 +29,7 @@ namespace {
 //   u32 ring_count
 //   ring_count times:
 //     u32 thread  u32 stored  u64 total   stored * FlightEvent (old→new)
+//                                  (stored <= kCaptureCapacity)
 //   u64 metrics_len                0 in crash-path records
 //   metrics_len bytes              MetricsRegistry text exposition
 constexpr char kMagic[8] = {'E', 'L', 'A', 'N', 'F', 'L', 'T', '\x01'};
@@ -35,8 +37,14 @@ constexpr char kMagic[8] = {'E', 'L', 'A', 'N', 'F', 'L', 'T', '\x01'};
 struct Ring {
   std::atomic<std::uint64_t> head{0};  // events ever written; single writer
   std::uint32_t thread = 0;
-  FlightEvent slots[FlightRecorder::kRingCapacity];
+  std::uint32_t capacity = 0;          // power of two
+  FlightEvent* slots = nullptr;        // `capacity` preallocated events
 };
+
+std::uint32_t mode_capacity() {
+  return FlightRecorder::capturing() ? FlightRecorder::kCaptureCapacity
+                                     : FlightRecorder::kRingCapacity;
+}
 
 std::atomic<Ring*> g_rings[FlightRecorder::kMaxThreads];
 std::atomic<std::uint64_t> g_seq{0};
@@ -77,11 +85,14 @@ Ring* ring_for_this_thread() {
     // Once-per-thread registration: the only allocation on the record path.
     auto* fresh = new Ring();
     fresh->thread = idx;
+    fresh->capacity = mode_capacity();
+    fresh->slots = new FlightEvent[fresh->capacity];
     Ring* expected = nullptr;
     if (g_rings[idx].compare_exchange_strong(expected, fresh,
                                              std::memory_order_acq_rel)) {
       ring = fresh;
     } else {
+      delete[] fresh->slots;
       delete fresh;
       ring = expected;
     }
@@ -123,22 +134,21 @@ bool write_rings_signal_safe(int fd) {
     Ring* ring = g_rings[i].load(std::memory_order_acquire);
     if (ring == nullptr) continue;
     const std::uint64_t total = ring->head.load(std::memory_order_acquire);
-    const std::uint32_t stored =
-        total < FlightRecorder::kRingCapacity
-            ? static_cast<std::uint32_t>(total)
-            : FlightRecorder::kRingCapacity;
+    const std::uint32_t stored = total < ring->capacity
+                                     ? static_cast<std::uint32_t>(total)
+                                     : ring->capacity;
     if (!write_all_sigsafe(fd, &ring->thread, sizeof(ring->thread)) ||
         !write_all_sigsafe(fd, &stored, sizeof(stored)) ||
         !write_all_sigsafe(fd, &total, sizeof(total))) {
       return false;
     }
-    if (total <= FlightRecorder::kRingCapacity) {
+    if (total <= ring->capacity) {
       if (!write_all_sigsafe(fd, ring->slots, stored * sizeof(FlightEvent)))
         return false;
     } else {
       // Wrapped: oldest event lives at head & mask. Two spans, old→new.
-      const std::uint64_t start = total & (FlightRecorder::kRingCapacity - 1);
-      const std::uint64_t tail = FlightRecorder::kRingCapacity - start;
+      const std::uint64_t start = total & (ring->capacity - 1);
+      const std::uint64_t tail = ring->capacity - start;
       if (!write_all_sigsafe(fd, ring->slots + start,
                              tail * sizeof(FlightEvent)) ||
           !write_all_sigsafe(fd, ring->slots, start * sizeof(FlightEvent))) {
@@ -201,9 +211,33 @@ void install_signal_handlers() {
   ::sigaction(SIGABRT, &sa, nullptr);
 }
 
+void append(double ts_us, FlightEventKind kind, const char* actor,
+            const char* detail, std::uint64_t a, std::uint64_t b,
+            std::uint64_t c) {
+  Ring* ring = ring_for_this_thread();
+  if (ring == nullptr) return;
+  FlightEvent ev;
+  ev.ts_us = ts_us;
+  ev.seq = g_seq.fetch_add(1, std::memory_order_relaxed);
+  ev.a = a;
+  ev.b = b;
+  ev.c = c;
+  ev.thread = ring->thread;
+  ev.kind = static_cast<std::uint8_t>(kind);
+  copy_field(ev.actor, sizeof(ev.actor), actor);
+  copy_field(ev.detail, sizeof(ev.detail), detail);
+  const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
+  ring->slots[head & (ring->capacity - 1)] = ev;
+  ring->head.store(head + 1, std::memory_order_release);
+}
+
+std::uint64_t lane_or_thread(std::uint64_t lane) {
+  return lane == FlightRecorder::kThisThread ? this_thread_index() : lane;
+}
+
 }  // namespace
 
-std::atomic<bool> FlightRecorder::enabled_{false};
+std::atomic<std::uint32_t> FlightRecorder::state_{0};
 
 FlightRecorder& FlightRecorder::instance() {
   // Leaked singleton: the crash paths may run during static destruction.
@@ -217,21 +251,33 @@ void FlightRecorder::record(FlightEventKind kind, const char* actor,
                             const char* detail, std::uint64_t a,
                             std::uint64_t b, std::uint64_t c) {
   if (!enabled()) return;
-  Ring* ring = ring_for_this_thread();
-  if (ring == nullptr) return;
-  FlightEvent ev;
-  ev.ts_us = now_us();
-  ev.seq = g_seq.fetch_add(1, std::memory_order_relaxed);
-  ev.a = a;
-  ev.b = b;
-  ev.c = c;
-  ev.thread = ring->thread;
-  ev.kind = static_cast<std::uint8_t>(kind);
-  copy_field(ev.actor, sizeof(ev.actor), actor);
-  copy_field(ev.detail, sizeof(ev.detail), detail);
-  const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-  ring->slots[head & (kRingCapacity - 1)] = ev;
-  ring->head.store(head + 1, std::memory_order_release);
+  append(now_us(), kind, actor, detail, a, b, c);
+}
+
+void FlightRecorder::span(const char* category, const char* name,
+                          double ts_us, double dur_us, std::uint64_t lane) {
+  if (!capturing()) return;
+  append(ts_us, FlightEventKind::kSpan, category, name,
+         std::bit_cast<std::uint64_t>(dur_us), lane_or_thread(lane), 0);
+}
+
+void FlightRecorder::instant(const char* category, const char* name) {
+  if (!capturing()) return;
+  append(now_us(), FlightEventKind::kInstant, category, name, 0,
+         this_thread_index(), 0);
+}
+
+void FlightRecorder::counter(const char* category, const char* name,
+                             double value) {
+  if (!capturing()) return;
+  append(now_us(), FlightEventKind::kCounter, category, name,
+         std::bit_cast<std::uint64_t>(value), this_thread_index(), 0);
+}
+
+void FlightRecorder::mark_lane(const char* name) {
+  if (!capturing()) return;
+  append(now_us(), FlightEventKind::kLaneMarker, "lane", name, 0,
+         this_thread_index(), 0);
 }
 
 void FlightRecorder::set_clock(ClockFn fn, void* ctx) {
@@ -249,9 +295,16 @@ double FlightRecorder::now_us() {
 
 void FlightRecorder::clear() {
   g_seq.store(0, std::memory_order_relaxed);
+  const std::uint32_t capacity = mode_capacity();
   for (std::uint32_t i = 0; i < kMaxThreads; ++i) {
     Ring* ring = g_rings[i].load(std::memory_order_acquire);
-    if (ring != nullptr) ring->head.store(0, std::memory_order_release);
+    if (ring == nullptr) continue;
+    if (ring->capacity != capacity) {
+      delete[] ring->slots;
+      ring->slots = new FlightEvent[capacity];
+      ring->capacity = capacity;
+    }
+    ring->head.store(0, std::memory_order_release);
   }
 }
 
@@ -331,6 +384,10 @@ const char* to_string(FlightEventKind kind) {
     case FlightEventKind::kCheckFailed: return "death.check_failed";
     case FlightEventKind::kSockError: return "sock.error";
     case FlightEventKind::kLinkState: return "sock.link_state";
+    case FlightEventKind::kSpan: return "trace.span";
+    case FlightEventKind::kInstant: return "trace.instant";
+    case FlightEventKind::kCounter: return "trace.counter";
+    case FlightEventKind::kLaneMarker: return "trace.lane";
   }
   return "unknown";
 }
@@ -377,7 +434,7 @@ FlightRecord read_flight_record(const std::string& path) {
     read_raw(&ring.thread, sizeof(ring.thread));
     read_raw(&stored, sizeof(stored));
     read_raw(&ring.total, sizeof(ring.total));
-    if (stored > FlightRecorder::kRingCapacity)
+    if (stored > FlightRecorder::kCaptureCapacity)
       throw Error("flight record: implausible ring size in " + path);
     ring.events.resize(stored);
     if (stored > 0)

@@ -27,14 +27,17 @@ std::string& flight_path_storage() {
   return path;
 }
 
+void dump_flight(const std::string& path, const char* what) {
+  if (FlightRecorder::instance().dump(path)) {
+    std::fprintf(stderr, "[obs] wrote %s %s\n", what, path.c_str());
+  } else {
+    std::fprintf(stderr, "[obs] %s dump failed: %s\n", what, path.c_str());
+  }
+}
+
 void dump_observability() {
   if (!trace_path().empty()) {
-    try {
-      Tracer::instance().write_json(trace_path());
-      std::fprintf(stderr, "[obs] wrote trace %s\n", trace_path().c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "[obs] trace dump failed: %s\n", e.what());
-    }
+    dump_flight(trace_path(), "trace record");
     trace_path().clear();
   }
   if (!metrics_path().empty()) {
@@ -49,13 +52,7 @@ void dump_observability() {
   if (!flight_path_storage().empty()) {
     // Clean-exit flight record (crash paths write their own through the
     // armed hooks). Keep the path so flight_requested() stays true.
-    if (FlightRecorder::instance().dump(flight_path_storage())) {
-      std::fprintf(stderr, "[obs] wrote flight record %s\n",
-                   flight_path_storage().c_str());
-    } else {
-      std::fprintf(stderr, "[obs] flight record dump failed: %s\n",
-                   flight_path_storage().c_str());
-    }
+    dump_flight(flight_path_storage(), "flight record");
   }
 }
 
@@ -71,7 +68,9 @@ void init_from_env() {
   bool want_dump = false;
   if (const char* trace = std::getenv("ELAN_TRACE"); trace != nullptr && *trace != '\0') {
     trace_path() = trace;
-    Tracer::instance().set_enabled(true);
+    // Capture first: rings registered from here on get the capture size.
+    FlightRecorder::set_capture(true);
+    FlightRecorder::set_enabled(true);
     want_dump = true;
   }
   if (const char* metrics = std::getenv("ELAN_METRICS");
@@ -88,8 +87,6 @@ void init_from_env() {
   }
   if (want_dump) std::atexit(dump_observability);
 }
-
-bool trace_requested() { return !trace_path().empty(); }
 
 bool flight_requested() { return !flight_path_storage().empty(); }
 

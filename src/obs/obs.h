@@ -3,8 +3,12 @@
 //   obs::init_from_env() — one call near the top of main (bench binaries get
 //   it for free through bench::print_header):
 //     ELAN_LOG=trace|debug|info|warn|error  sets the global logger level;
-//     ELAN_TRACE=<path>   enables the tracer and writes a Chrome trace-event
-//                         JSON to <path> at process exit;
+//     ELAN_TRACE=<path>   enables the flight recorder with trace capture
+//                         (spans, instants, counters; rings sized at
+//                         FlightRecorder::kCaptureCapacity) and writes the
+//                         record to <path> at process exit — read it with
+//                         elan_trace_report (add --chrome=<out.json> for
+//                         Perfetto);
 //     ELAN_METRICS=<path> writes the Prometheus-style metrics snapshot to
 //                         <path> at process exit.
 //     ELAN_FLIGHT=<path>  enables the black-box flight recorder, arms its
@@ -12,16 +16,15 @@
 //                         aborts, SIGSEGV/SIGABRT), and writes the record
 //                         to <path> at process exit as well.
 //
-//   obs::ScopedSimClock — switches the tracer AND the flight recorder onto
-//   a simulator's virtual clock for the scope of a sim run, so spans and
-//   flight events carry virtual timestamps comparable to the explicitly-
+//   obs::ScopedSimClock — switches the flight recorder onto a simulator's
+//   virtual clock for the scope of a sim run, so protocol events and
+//   scoped spans carry virtual timestamps comparable to the explicitly-
 //   timestamped spans the job runtime emits (paper Figs 10-11 timelines).
 #pragma once
 
 #include <string>
 
 #include "obs/flight.h"
-#include "obs/trace.h"
 #include "sim/simulator.h"
 
 namespace elan::obs {
@@ -29,9 +32,6 @@ namespace elan::obs {
 /// Applies ELAN_LOG / ELAN_TRACE / ELAN_METRICS (see the file comment).
 /// Idempotent; the exit dump registers only once.
 void init_from_env();
-
-/// True when init_from_env enabled tracing (ELAN_TRACE was set).
-bool trace_requested();
 
 /// True when init_from_env enabled the flight recorder (ELAN_FLIGHT set).
 bool flight_requested();
@@ -43,22 +43,18 @@ std::string flight_path();
 /// this to write files before printing a "wrote ..." line).
 void dump_now();
 
-/// Tracer and flight-recorder timestamps come from `sim.now()` while this
-/// object lives; the real-time clock is restored on destruction.
+/// Flight-recorder timestamps come from `sim.now()` while this object
+/// lives; the real-time clock is restored on destruction.
 class ScopedSimClock {
  public:
   explicit ScopedSimClock(sim::Simulator& sim) {
-    Tracer::instance().set_clock([&sim] { return sim.now() * 1e6; });
     FlightRecorder::set_clock(
         [](void* ctx) {
           return static_cast<sim::Simulator*>(ctx)->now() * 1e6;
         },
         &sim);
   }
-  ~ScopedSimClock() {
-    Tracer::instance().set_clock(nullptr);
-    FlightRecorder::set_clock(nullptr, nullptr);
-  }
+  ~ScopedSimClock() { FlightRecorder::set_clock(nullptr, nullptr); }
 
   ScopedSimClock(const ScopedSimClock&) = delete;
   ScopedSimClock& operator=(const ScopedSimClock&) = delete;

@@ -1,244 +1,20 @@
 #include "obs/trace_report.h"
 
 #include <algorithm>
-#include <cctype>
+#include <bit>
 #include <cmath>
-#include <fstream>
+#include <cstdio>
 #include <map>
 #include <sstream>
+#include <string_view>
+#include <tuple>
+#include <utility>
 
-#include "common/error.h"
 #include "common/table.h"
 
 namespace elan::obs {
 
 namespace {
-
-// --- Minimal JSON parser ----------------------------------------------------
-//
-// Recursive descent over the full JSON grammar (objects, arrays, strings,
-// numbers, booleans, null). The tracer's output is a strict subset, but the
-// parser accepts any conforming document so reports also work on traces from
-// other producers (or hand-edited files).
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    require(pos_ == text_.size(), "trace json: trailing content at offset " +
-                                      std::to_string(pos_));
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw InvalidArgument("trace json: " + what + " at offset " + std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        v.string = string();
-        return v;
-      }
-      case 't':
-      case 'f': return boolean();
-      case 'n': return null();
-      default: return number();
-    }
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          // Traces are ASCII in practice; encode BMP code points as UTF-8.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default: fail("bad escape");
-      }
-    }
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    try {
-      v.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
-    return v;
-  }
-
-  JsonValue boolean() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      v.boolean = true;
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-    } else {
-      fail("bad literal");
-    }
-    return v;
-  }
-
-  JsonValue null() {
-    if (text_.compare(pos_, 4, "null") != 0) fail("bad literal");
-    pos_ += 4;
-    return JsonValue{};
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-double number_field(const JsonValue& event, const std::string& key, double fallback) {
-  const JsonValue* v = event.find(key);
-  return (v != nullptr && v->kind == JsonValue::Kind::kNumber) ? v->number : fallback;
-}
-
-std::string string_field(const JsonValue& event, const std::string& key) {
-  const JsonValue* v = event.find(key);
-  return (v != nullptr && v->kind == JsonValue::Kind::kString) ? v->string : std::string();
-}
 
 double percentile_sorted(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0;
@@ -250,22 +26,137 @@ double percentile_sorted(const std::vector<double>& sorted, double p) {
   return sorted[lo] * (1 - frac) + sorted[hi] * frac;
 }
 
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
-TraceSummary summarize_trace_json(const std::string& json_text) {
-  JsonParser parser(json_text);
-  const JsonValue root = parser.parse();
+Timeline build_timeline(const std::vector<FlightRecord>& records,
+                        const std::vector<std::string>& labels) {
+  Timeline timeline;
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    // Recording order: lane markers split a record by what came after them,
+    // and a sim clock restarting per run makes timestamps ambiguous.
+    std::vector<FlightEvent> events;
+    for (const FlightRecord::Ring& ring : records[r].rings) {
+      events.insert(events.end(), ring.events.begin(), ring.events.end());
+      timeline.lost_events += ring.total - ring.events.size();
+    }
+    std::sort(events.begin(), events.end(),
+              [](const FlightEvent& x, const FlightEvent& y) { return x.seq < y.seq; });
 
-  const JsonValue* events = nullptr;
-  if (root.kind == JsonValue::Kind::kArray) {
-    // The format also allows a bare event array.
-    events = &root;
-  } else if (root.kind == JsonValue::Kind::kObject) {
-    events = root.find("traceEvents");
+    // kAmPhase's detail names the phase it enters; learn value -> name from
+    // the record itself to name the phase each event leaves.
+    std::map<std::uint64_t, std::string> phase_names;
+    for (const FlightEvent& e : events) {
+      if (static_cast<FlightEventKind>(e.kind) == FlightEventKind::kAmPhase) {
+        phase_names.emplace(e.b, e.detail);
+      }
+    }
+    const auto phase_name = [&](std::uint64_t phase) {
+      const auto it = phase_names.find(phase);
+      return it != phase_names.end() ? it->second : std::to_string(phase);
+    };
+
+    timeline.lane_names.push_back(r < labels.size() ? labels[r]
+                                                    : "record " + std::to_string(r));
+    auto pid = static_cast<std::uint32_t>(timeline.lane_names.size());
+    std::map<std::pair<std::uint32_t, std::string>, double> phase_since;
+    std::map<std::tuple<std::uint32_t, std::string, std::uint64_t>, double> round_start;
+    const auto add = [&](char phase, std::string category, std::string name,
+                         double ts_us, double dur_us, std::uint64_t lane) -> TimelineEvent& {
+      TimelineEvent& t = timeline.events.emplace_back();
+      t.phase = phase;
+      t.category = std::move(category);
+      t.name = std::move(name);
+      t.ts_us = ts_us;
+      t.dur_us = dur_us;
+      t.pid = pid;
+      t.lane = lane;
+      return t;
+    };
+
+    for (const FlightEvent& e : events) {
+      switch (static_cast<FlightEventKind>(e.kind)) {
+        case FlightEventKind::kSpan:
+          add('X', e.actor, e.detail, e.ts_us, std::bit_cast<double>(e.a), e.b);
+          break;
+        case FlightEventKind::kInstant:
+          add('i', e.actor, e.detail, e.ts_us, 0, e.b);
+          break;
+        case FlightEventKind::kCounter:
+          add('C', e.actor, e.detail, e.ts_us, 0, e.b).value = std::bit_cast<double>(e.a);
+          break;
+        case FlightEventKind::kLaneMarker:
+          timeline.lane_names.emplace_back(e.detail);
+          pid = static_cast<std::uint32_t>(timeline.lane_names.size());
+          break;
+        case FlightEventKind::kAmPhase: {
+          // The phase this AM just left ran since its previous transition
+          // (or since clock zero, for the phase it was created in).
+          double& since = phase_since.try_emplace({pid, e.actor}, 0.0).first->second;
+          add('X', "master", "phase/" + phase_name(e.a), since, e.ts_us - since, e.thread);
+          since = e.ts_us;
+          // The AM enters "adjusting" only when it instructs the adjustment.
+          if (std::string_view(e.detail) == "adjusting") {
+            add('i', "master", "instruct_adjustment", e.ts_us, 0, e.thread);
+          }
+          break;
+        }
+        case FlightEventKind::kRoundStart:
+          round_start[{pid, e.actor, e.a}] = e.ts_us;
+          break;
+        case FlightEventKind::kRoundDecision: {
+          const auto it = round_start.find({pid, e.actor, e.a});
+          if (it != round_start.end()) {
+            add('X', "coordination", "round", it->second, e.ts_us - it->second, e.b);
+          }
+          break;
+        }
+        case FlightEventKind::kWorkerReport:
+          add('i', "master", "worker_report", e.ts_us, 0, e.thread);
+          break;
+        case FlightEventKind::kWorkerEvicted:
+          add('i', "master", "evict_joining", e.ts_us, 0, e.thread);
+          break;
+        case FlightEventKind::kFaultInjected:
+          add('i', "fault", e.detail, e.ts_us, 0, e.thread);
+          break;
+        case FlightEventKind::kChunkSourceLost:
+          add('i', "fault", "chunk_source_lost", e.ts_us, 0, e.thread);
+          break;
+        case FlightEventKind::kReplicationReplan:
+          add('i', "fault", "replication_replanned", e.ts_us, 0, e.thread);
+          break;
+        default:
+          break;
+      }
+    }
   }
-  require(events != nullptr && events->kind == JsonValue::Kind::kArray,
-          "trace json: no traceEvents array");
+  return timeline;
+}
 
+TraceSummary summarize_timeline(const Timeline& timeline) {
   struct Group {
     std::vector<double> durs_ms;
     double total_ms = 0;
@@ -273,34 +164,28 @@ TraceSummary summarize_trace_json(const std::string& json_text) {
   std::map<std::pair<std::string, std::string>, Group> groups;
 
   TraceSummary summary;
+  summary.lost_events = timeline.lost_events;
   double min_ts = 0, max_end = 0;
-  bool any_span = false;
-  for (const JsonValue& e : events->array) {
-    if (e.kind != JsonValue::Kind::kObject) continue;
-    const std::string ph = string_field(e, "ph");
-    if (ph == "i" || ph == "I") {
+  for (const TimelineEvent& e : timeline.events) {
+    if (e.phase == 'i') {
       ++summary.instants;
       continue;
     }
-    if (ph == "C") {
+    if (e.phase == 'C') {
       ++summary.counter_samples;
       continue;
     }
-    if (ph != "X") continue;
+    if (summary.spans == 0 || e.ts_us < min_ts) min_ts = e.ts_us;
+    if (summary.spans == 0 || e.ts_us + e.dur_us > max_end) max_end = e.ts_us + e.dur_us;
     ++summary.spans;
-    const double ts = number_field(e, "ts", 0);
-    const double dur = number_field(e, "dur", 0);
-    const std::string cat = string_field(e, "cat");
-    const std::string name = string_field(e, "name");
-    if (!any_span || ts < min_ts) min_ts = ts;
-    if (!any_span || ts + dur > max_end) max_end = ts + dur;
-    any_span = true;
-    auto& g = groups[{cat, name}];
-    g.durs_ms.push_back(dur / 1000.0);
-    g.total_ms += dur / 1000.0;
-    if (cat == "adjustment" && name == "adjustment") summary.adjustment_ms += dur / 1000.0;
+    auto& g = groups[{e.category, e.name}];
+    g.durs_ms.push_back(e.dur_us / 1000.0);
+    g.total_ms += e.dur_us / 1000.0;
+    if (e.category == "adjustment" && e.name == "adjustment") {
+      summary.adjustment_ms += e.dur_us / 1000.0;
+    }
   }
-  summary.wall_ms = any_span ? (max_end - min_ts) / 1000.0 : 0;
+  summary.wall_ms = summary.spans > 0 ? (max_end - min_ts) / 1000.0 : 0;
 
   for (auto& [key, g] : groups) {
     std::sort(g.durs_ms.begin(), g.durs_ms.end());
@@ -323,20 +208,13 @@ TraceSummary summarize_trace_json(const std::string& json_text) {
   return summary;
 }
 
-TraceSummary summarize_trace_file(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "trace report: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return summarize_trace_json(buffer.str());
-}
-
 std::string render_trace_summary(const TraceSummary& summary,
                                  const std::string& category_filter) {
   std::ostringstream os;
   os.precision(6);
   os << "spans: " << summary.spans << "  instants: " << summary.instants
      << "  counter samples: " << summary.counter_samples << "\n";
+  os << "events lost to ring wrap: " << summary.lost_events << "\n";
   os << "trace wall span: " << summary.wall_ms << " ms\n";
   if (summary.adjustment_ms > 0) {
     os << "adjustment critical path: " << summary.adjustment_ms
@@ -362,6 +240,39 @@ std::string render_trace_summary(const TraceSummary& summary,
                                        : fmt(row.adjustment_share * 100.0) + "%");
   }
   os << table.to_string();
+  return os.str();
+}
+
+std::string chrome_trace_json(const Timeline& timeline) {
+  std::ostringstream os;
+  os.precision(15);  // µs timestamps survive the round trip losslessly
+  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  bool first = true;
+  auto sep = [&] {
+    if (!first) os << ",";
+    first = false;
+    os << "\n";
+  };
+  std::vector<bool> used(timeline.lane_names.size() + 1, false);
+  for (const TimelineEvent& e : timeline.events) used[e.pid] = true;
+  for (std::size_t pid = 1; pid < used.size(); ++pid) {
+    if (!used[pid]) continue;
+    sep();
+    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
+       << ",\"tid\":0,\"args\":{\"name\":\"" << json_escape(timeline.lane_names[pid - 1])
+       << "\"}}";
+  }
+  for (const TimelineEvent& e : timeline.events) {
+    sep();
+    os << "{\"ph\":\"" << e.phase << "\",\"cat\":\"" << json_escape(e.category)
+       << "\",\"name\":\"" << json_escape(e.name) << "\",\"ts\":" << e.ts_us
+       << ",\"pid\":" << e.pid << ",\"tid\":" << e.lane;
+    if (e.phase == 'X') os << ",\"dur\":" << e.dur_us;
+    if (e.phase == 'i') os << ",\"s\":\"t\"";
+    if (e.phase == 'C') os << ",\"args\":{\"value\":" << e.value << "}";
+    os << "}";
+  }
+  os << "\n]}\n";
   return os.str();
 }
 

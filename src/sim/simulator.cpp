@@ -43,6 +43,17 @@ EventId Simulator::schedule_at(Seconds when, Callback fn) {
   return heap_.push(EventKey{when, next_seq_++}, std::move(fn));
 }
 
+Seconds Simulator::schedule_no_earlier(Seconds delay, Seconds not_before,
+                                       Callback fn) {
+  require(delay >= 0.0 && std::isfinite(delay),
+          "Simulator::schedule_no_earlier: bad delay");
+  require(static_cast<bool>(fn), "Simulator::schedule_no_earlier: empty callback");
+  MutexLock lock(mu_);
+  const Seconds when = std::max(now_ + delay, not_before);
+  heap_.push(EventKey{when, next_seq_++}, std::move(fn));
+  return when;
+}
+
 bool Simulator::cancel(EventId id) {
   MutexLock lock(mu_);
   return heap_.erase(id);

@@ -62,6 +62,12 @@ class Simulator {
   /// Schedules `fn` at an absolute virtual time (must be >= now()).
   EventId schedule_at(Seconds when, Callback fn);
 
+  /// Schedules `fn` at max(now() + delay, not_before) and returns that
+  /// time. now() is read under the same lock as the insertion, so a
+  /// concurrent run_until cannot move the clock past the chosen time in
+  /// between — the race a separate now() + schedule_at() pair has.
+  Seconds schedule_no_earlier(Seconds delay, Seconds not_before, Callback fn);
+
   /// Cancels a pending event, removing it from the queue in place (O(log n),
   /// no tombstone). Cancelling an already-fired or unknown event is a no-op
   /// (returns false).

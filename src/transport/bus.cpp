@@ -59,18 +59,16 @@ MessageId MessageBus::send(Message msg) {
   latency *= 1.0 + rng_.uniform(0.0, params_.jitter_fraction);
   latency *= std::max(1.0, fault.latency_factor);
 
-  // Per-connection FIFO (ZeroMQ semantics): never deliver before an earlier
-  // message on the same (from, to) stream.
-  Seconds deliver_at = sim_.now() + latency;
-  auto& stream_clock = pair_clock_[{msg.from, msg.to}];
-  deliver_at = std::max(deliver_at, stream_clock);
-  stream_clock = deliver_at;
-
   const MessageId id = msg.id;
   obs::FlightRecorder::record(obs::FlightEventKind::kMsgSend, msg.from.c_str(),
                               msg.type.c_str(), id);
-  sim_.schedule_at(deliver_at,
-                   [this, msg = std::move(msg)]() { deliver(msg); });
+  // Per-connection FIFO (ZeroMQ semantics): never deliver before an earlier
+  // message on the same (from, to) stream. The simulator reads its clock
+  // and inserts under one lock, so a concurrent run_until cannot overtake
+  // the delivery time.
+  auto& stream_clock = pair_clock_[{msg.from, msg.to}];
+  stream_clock = sim_.schedule_no_earlier(
+      latency, stream_clock, [this, msg = std::move(msg)]() { deliver(msg); });
   return id;
 }
 

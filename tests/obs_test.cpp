@@ -1,12 +1,16 @@
-// Observability layer: tracer, metrics registry, trace report and the
-// thread-safe logger. The concurrency-heavy cases here also run under the
-// tsan label (see CMakeLists) with tracing forced on.
+// Observability layer: trace capture on the flight recorder and the trace
+// report over its records, the metrics registry, and the thread-safe
+// logger. The concurrency-heavy cases here also run under the tsan label
+// (see CMakeLists) with capture forced on.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <set>
-#include <string_view>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,7 +19,6 @@
 #include "elan/job.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/trace.h"
 #include "obs/trace_report.h"
 #include "sched/metrics.h"
 #include "storage/filesystem.h"
@@ -23,29 +26,73 @@
 namespace elan {
 namespace {
 
-// The tracer is process-global; every test starts from a clean, disabled one.
+// The recorder is process-global; every test starts from a clean one with
+// capture on and leaves it off, its rings back at the always-on size.
 struct TracerTest : ::testing::Test {
   void SetUp() override {
-    obs::Tracer::instance().set_enabled(false);
-    obs::Tracer::instance().set_clock(nullptr);
-    obs::Tracer::instance().set_pid(1);
-    obs::Tracer::instance().clear();
+    obs::FlightRecorder::set_clock(nullptr, nullptr);
+    obs::FlightRecorder::set_enabled(true);
+    obs::FlightRecorder::set_capture(true);
+    obs::FlightRecorder::instance().clear();
   }
-  void TearDown() override { SetUp(); }
+  void TearDown() override {
+    obs::FlightRecorder::set_capture(false);
+    obs::FlightRecorder::set_enabled(false);
+    obs::FlightRecorder::instance().clear();
+  }
 };
 
-TEST_F(TracerTest, DisabledRecordsNothing) {
-  {
-    ELAN_TRACE_SCOPE("test", "noop");
-    ELAN_TRACE_EVENT("test", "noop_instant");
-    ELAN_TRACE_COUNTER("test", "noop_counter", 1);
+// Dumps the recorder and reads the record back, as elan_trace_report does.
+// The pid keeps concurrent test processes off each other's files.
+obs::FlightRecord dump_and_read(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name + "." +
+                           std::to_string(::getpid()) + ".flt";
+  EXPECT_TRUE(obs::FlightRecorder::instance().dump(path));
+  obs::FlightRecord record = obs::read_flight_record(path);
+  std::remove(path.c_str());
+  return record;
+}
+
+obs::Timeline dump_timeline(const std::string& name) {
+  return obs::build_timeline({dump_and_read(name)});
+}
+
+std::vector<obs::TimelineEvent> spans_named(const obs::Timeline& timeline,
+                                            const std::string& category,
+                                            const std::string& name) {
+  std::vector<obs::TimelineEvent> out;
+  for (const auto& e : timeline.events) {
+    if (e.phase == 'X' && e.category == category && e.name == name) out.push_back(e);
   }
-  obs::Tracer::instance().complete("test", "explicit", 0, 1);
-  EXPECT_TRUE(obs::Tracer::instance().snapshot().empty());
+  return out;
+}
+
+bool is_trace_kind(const obs::FlightEvent& e) {
+  const auto kind = static_cast<obs::FlightEventKind>(e.kind);
+  return kind == obs::FlightEventKind::kSpan || kind == obs::FlightEventKind::kInstant ||
+         kind == obs::FlightEventKind::kCounter ||
+         kind == obs::FlightEventKind::kLaneMarker;
+}
+
+TEST_F(TracerTest, DisabledRecordsNothing) {
+  const auto record_all = [] {
+    ELAN_TRACE_SCOPE("test", "noop");
+    obs::FlightRecorder::instant("test", "noop_instant");
+    obs::FlightRecorder::counter("test", "noop_counter", 1);
+    obs::FlightRecorder::span("test", "explicit", 0, 1);
+    obs::FlightRecorder::mark_lane("noop_lane");
+  };
+  // Recorder on, capture off: the always-on configuration of live jobs.
+  obs::FlightRecorder::set_capture(false);
+  record_all();
+  // Capture requested but the recorder off.
+  obs::FlightRecorder::set_capture(true);
+  obs::FlightRecorder::set_enabled(false);
+  record_all();
+  EXPECT_EQ(obs::FlightRecorder::instance().total_recorded(), 0u);
 }
 
 TEST_F(TracerTest, MultiThreadSpansAllFlushed) {
-  obs::Tracer::instance().set_enabled(true);
   constexpr int kThreads = 8, kSpans = 200;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -56,56 +103,56 @@ TEST_F(TracerTest, MultiThreadSpansAllFlushed) {
     });
   }
   for (auto& t : threads) t.join();
-  const auto events = obs::Tracer::instance().snapshot();
-  ASSERT_EQ(events.size(), static_cast<std::size_t>(kThreads * kSpans));
-  std::set<std::uint64_t> tids;
-  for (const auto& e : events) {
+  const auto timeline = dump_timeline("multi_thread");
+  ASSERT_EQ(timeline.events.size(), static_cast<std::size_t>(kThreads * kSpans));
+  std::set<std::uint64_t> lanes;
+  for (const auto& e : timeline.events) {
     EXPECT_EQ(e.phase, 'X');
-    EXPECT_STREQ(e.category, "test");
-    tids.insert(e.tid);
+    EXPECT_EQ(e.category, "test");
+    EXPECT_EQ(e.name, "worker_span");
+    lanes.insert(e.lane);
   }
-  EXPECT_EQ(tids.size(), static_cast<std::size_t>(kThreads));
+  EXPECT_EQ(lanes.size(), static_cast<std::size_t>(kThreads));
+  EXPECT_EQ(timeline.lost_events, 0u);
 }
 
 TEST_F(TracerTest, SimClockStampsVirtualTime) {
-  obs::Tracer::instance().set_enabled(true);
   sim::Simulator sim;
   obs::ScopedSimClock clock(sim);
-  sim.schedule(2.5, [] { ELAN_TRACE_EVENT("test", "at_2500ms"); });
+  sim.schedule(2.5, [] { obs::FlightRecorder::instant("test", "at_2500ms"); });
   sim.run();
-  const auto events = obs::Tracer::instance().snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events.front().phase, 'i');
-  EXPECT_DOUBLE_EQ(events.front().ts_us, 2.5e6);
+  const auto timeline = dump_timeline("sim_clock");
+  ASSERT_EQ(timeline.events.size(), 1u);
+  EXPECT_EQ(timeline.events.front().phase, 'i');
+  EXPECT_DOUBLE_EQ(timeline.events.front().ts_us, 2.5e6);
 }
 
 TEST_F(TracerTest, ExplicitTimestampAndTidLanes) {
-  auto& tracer = obs::Tracer::instance();
-  tracer.set_enabled(true);
-  tracer.complete("test", "lane_a", 100.0, 50.0, "{\"k\":1}", /*tid=*/7);
-  tracer.complete("test", "lane_b", 120.0, 50.0, {}, /*tid=*/9);
-  const auto events = tracer.snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].tid, 7u);
-  EXPECT_DOUBLE_EQ(events[0].ts_us, 100.0);
-  EXPECT_DOUBLE_EQ(events[0].dur_us, 50.0);
-  EXPECT_EQ(events[1].tid, 9u);
+  obs::FlightRecorder::span("test", "lane_a", 100.0, 50.0, /*lane=*/7);
+  obs::FlightRecorder::span("test", "lane_b", 120.0, 1.0 / 3.0, /*lane=*/9);
+  const auto timeline = dump_timeline("lanes");
+  ASSERT_EQ(timeline.events.size(), 2u);
+  EXPECT_EQ(timeline.events[0].lane, 7u);
+  EXPECT_DOUBLE_EQ(timeline.events[0].ts_us, 100.0);
+  EXPECT_DOUBLE_EQ(timeline.events[0].dur_us, 50.0);
+  EXPECT_EQ(timeline.events[1].lane, 9u);
+  // The duration rides in the event as the double's bits: lossless.
+  EXPECT_EQ(timeline.events[1].dur_us, 1.0 / 3.0);
 }
 
-TEST_F(TracerTest, JsonRoundTripsThroughReport) {
-  auto& tracer = obs::Tracer::instance();
-  tracer.set_enabled(true);
-  tracer.set_pid(3, "round trip \"quoted\"");
-  tracer.complete("cat", "span", 1000.0, 2000.0);
-  tracer.complete("cat", "span", 5000.0, 1000.0);
-  tracer.instant("cat", "tick");
-  tracer.counter("cat", "load", 0.5);
-  const std::string json = tracer.to_json();
+TEST_F(TracerTest, RecordRoundTripsThroughReport) {
+  obs::FlightRecorder::mark_lane("round trip \"q\"");
+  obs::FlightRecorder::span("cat", "span", 1000.0, 2000.0);
+  obs::FlightRecorder::span("cat", "span", 5000.0, 1000.0);
+  obs::FlightRecorder::instant("cat", "tick");
+  obs::FlightRecorder::counter("cat", "load", 0.5);
+  const auto timeline = dump_timeline("round_trip");
 
-  const auto summary = obs::summarize_trace_json(json);
+  const auto summary = obs::summarize_timeline(timeline);
   EXPECT_EQ(summary.spans, 2u);
   EXPECT_EQ(summary.instants, 1u);
   EXPECT_EQ(summary.counter_samples, 1u);
+  EXPECT_EQ(summary.lost_events, 0u);
   ASSERT_EQ(summary.rows.size(), 1u);
   EXPECT_EQ(summary.rows[0].category, "cat");
   EXPECT_EQ(summary.rows[0].name, "span");
@@ -115,11 +162,68 @@ TEST_F(TracerTest, JsonRoundTripsThroughReport) {
   // No adjustment spans in this trace: shares are unavailable.
   EXPECT_DOUBLE_EQ(summary.adjustment_ms, 0.0);
   EXPECT_LT(summary.rows[0].adjustment_share, 0.0);
+
+  // The marker opened a second process lane holding every event; the
+  // Chrome export names it (escaped) and carries the counter's value.
+  ASSERT_EQ(timeline.lane_names.size(), 2u);
+  for (const auto& e : timeline.events) EXPECT_EQ(e.pid, 2u);
+  const std::string json = obs::chrome_trace_json(timeline);
+  EXPECT_NE(json.find(R"("pid":2,"tid":0,"args":{"name":"round trip \"q\""})"),
+            std::string::npos);
+  EXPECT_EQ(json.find(R"("name":"record 0")"), std::string::npos);
+  EXPECT_NE(json.find(R"("ph":"C","cat":"cat","name":"load")"), std::string::npos);
+  EXPECT_NE(json.find(R"("args":{"value":0.5})"), std::string::npos);
 }
 
-TEST_F(TracerTest, ReportRejectsMalformedJson) {
-  EXPECT_THROW(obs::summarize_trace_json("{\"traceEvents\": [}"), InvalidArgument);
-  EXPECT_THROW(obs::summarize_trace_json("{\"notTraceEvents\": []}"), InvalidArgument);
+TEST_F(TracerTest, ReportRejectsMalformedRecord) {
+  const std::string dir = ::testing::TempDir();
+  const std::string pid = std::to_string(::getpid());
+  // What ELAN_TRACE used to write is not a record.
+  const std::string json = dir + "old_trace." + pid + ".json";
+  std::ofstream(json) << "{\"traceEvents\": []}";
+  EXPECT_THROW(obs::read_flight_record(json), Error);
+  // A record cut short inside its rings.
+  obs::FlightRecorder::span("test", "span", 0, 1);
+  const std::string good = dir + "good." + pid + ".flt";
+  ASSERT_TRUE(obs::FlightRecorder::instance().dump(good));
+  std::string bytes;
+  {
+    std::ifstream in(good, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const std::string cut = dir + "cut." + pid + ".flt";
+  std::ofstream(cut, std::ios::binary).write(bytes.data(), 40);
+  EXPECT_THROW(obs::read_flight_record(cut), Error);
+  for (const auto& path : {json, good, cut}) std::remove(path.c_str());
+}
+
+// One 8-worker ResNet-50 job scaled out by `extra` workers at t=1s, run to
+// the end of its first adjustment (bench/fig10_timeline's scenario).
+AdjustmentRecord run_scale_out(Mechanism mech, std::vector<int> initial_gpus,
+                               std::vector<int> join_gpus) {
+  sim::Simulator sim;
+  obs::ScopedSimClock clock(sim);
+  obs::FlightRecorder::mark_lane(to_string(mech));
+  topo::Topology topology{topo::TopologySpec{}};
+  topo::BandwidthModel bandwidth;
+  storage::SimFilesystem fs;
+  transport::MessageBus bus{sim, bandwidth};
+  transport::KvStore kv{sim};
+  JobConfig c;
+  c.model = train::resnet50();
+  c.initial_workers = static_cast<int>(initial_gpus.size());
+  c.initial_total_batch = 32 * c.initial_workers;
+  c.initial_gpus = std::move(initial_gpus);
+  c.mechanism = mech;
+  ElasticJob job(sim, topology, bandwidth, fs, bus, kv, std::move(c));
+  job.stop_after_iterations(1000000);
+  job.on_iteration = [&](std::uint64_t) {
+    if (!job.adjustments().empty()) job.stop();
+  };
+  job.start();
+  sim.schedule(1.0, [&] { job.request_scale_out(join_gpus); });
+  sim.run();
+  return job.adjustments().at(0);
 }
 
 // The acceptance scenario: a scale-out whose new workers sit next to their
@@ -127,8 +231,6 @@ TEST_F(TracerTest, ReportRejectsMalformedJson) {
 // per-transfer spans must overlap in virtual time — §IV-3's concurrency made
 // visible. Coordination rounds must land on per-worker lanes.
 TEST_F(TracerTest, ScaleOutTraceShowsConcurrentReplication) {
-  obs::Tracer::instance().set_enabled(true);
-
   sim::Simulator sim;
   topo::Topology topology{topo::TopologySpec{}};
   topo::BandwidthModel bandwidth;
@@ -150,27 +252,19 @@ TEST_F(TracerTest, ScaleOutTraceShowsConcurrentReplication) {
   ASSERT_EQ(job.adjustments().size(), 1u);
   const auto& adj = job.adjustments().front();
 
-  const auto events = obs::Tracer::instance().snapshot();
-  std::vector<obs::TraceEvent> transfers;
-  std::set<std::uint64_t> coordination_tids;
-  double adjustment_span_ms = -1;
-  for (const auto& e : events) {
-    if (std::string_view(e.category) == "replication" && e.name == "transfer") {
-      transfers.push_back(e);
-    }
-    if (std::string_view(e.category) == "coordination" && e.name == "round") {
-      coordination_tids.insert(e.tid);
-    }
-    if (std::string_view(e.category) == "adjustment" && e.name == "adjustment") {
-      adjustment_span_ms = e.dur_us / 1000.0;
-    }
+  const auto timeline = dump_timeline("scale_out");
+  const auto transfers = spans_named(timeline, "replication", "transfer");
+  std::set<std::uint64_t> coordination_lanes;
+  for (const auto& e : spans_named(timeline, "coordination", "round")) {
+    coordination_lanes.insert(e.lane);
   }
+  const auto adjustments = spans_named(timeline, "adjustment", "adjustment");
 
-  // One transfer per joining worker, on that worker's tid lane.
+  // One transfer per joining worker, on that worker's lane.
   ASSERT_EQ(transfers.size(), 4u);
-  std::set<std::uint64_t> transfer_tids;
-  for (const auto& t : transfers) transfer_tids.insert(t.tid);
-  EXPECT_EQ(transfer_tids, (std::set<std::uint64_t>{4, 5, 6, 7}));
+  std::set<std::uint64_t> transfer_lanes;
+  for (const auto& t : transfers) transfer_lanes.insert(t.lane);
+  EXPECT_EQ(transfer_lanes, (std::set<std::uint64_t>{4, 5, 6, 7}));
 
   // All four cross distinct PCIe switches: every pair of spans overlaps.
   for (std::size_t i = 0; i < transfers.size(); ++i) {
@@ -185,15 +279,15 @@ TEST_F(TracerTest, ScaleOutTraceShowsConcurrentReplication) {
 
   // Coordination rounds are attributed per worker (the original four lanes,
   // plus the joined workers' lanes after the adjustment).
-  EXPECT_GE(coordination_tids.size(), 4u);
-  EXPECT_TRUE(coordination_tids.count(0));
-  EXPECT_TRUE(coordination_tids.count(4));
+  EXPECT_GE(coordination_lanes.size(), 4u);
+  EXPECT_TRUE(coordination_lanes.count(0));
+  EXPECT_TRUE(coordination_lanes.count(4));
 
   // The whole-adjustment span matches the job's own record, and the report
-  // reproduces the per-phase totals from the exported JSON alone.
-  ASSERT_GT(adjustment_span_ms, 0.0);
-  EXPECT_NEAR(adjustment_span_ms, adj.pause_time() * 1000.0, 1e-6);
-  const auto summary = obs::summarize_trace_json(obs::Tracer::instance().to_json());
+  // reproduces the per-phase totals from the record alone.
+  ASSERT_EQ(adjustments.size(), 1u);
+  EXPECT_NEAR(adjustments.front().dur_us / 1000.0, adj.pause_time() * 1000.0, 1e-6);
+  const auto summary = obs::summarize_timeline(timeline);
   EXPECT_NEAR(summary.adjustment_ms, adj.pause_time() * 1000.0, 1e-6);
   bool found_replication_phase = false;
   for (const auto& row : summary.rows) {
@@ -211,18 +305,58 @@ TEST_F(TracerTest, ScaleOutTraceShowsConcurrentReplication) {
   EXPECT_TRUE(found_replication_phase);
 }
 
+// Live jobs run the recorder with capture off: a scale-out then leaves its
+// protocol events and no span, instant, counter or lane marker.
+TEST_F(TracerTest, CaptureOffRecordsNoSpanKinds) {
+  obs::FlightRecorder::set_capture(false);
+  obs::FlightRecorder::instance().clear();
+  run_scale_out(Mechanism::kElan, {0, 8, 16, 24}, {1, 9, 17, 25});
+  const auto record = dump_and_read("capture_off");
+  std::size_t protocol = 0, trace = 0;
+  for (const auto& e : record.merged()) ++(is_trace_kind(e) ? trace : protocol);
+  EXPECT_GT(protocol, 0u);
+  EXPECT_EQ(trace, 0u);
+}
+
+// bench/fig10_timeline traced: both mechanisms' 8->16 scale-outs put ~24k
+// events on one sim thread, many times what the always-on ring holds, but
+// fit a capture ring whole, and the report sees every one of its 16 span
+// rows.
+TEST_F(TracerTest, Fig10SizedCaptureDoesNotWrap) {
+  const std::vector<int> initial = {0, 1, 2, 3, 4, 5, 6, 7};
+  const std::vector<int> join = {8, 9, 10, 11, 12, 13, 14, 15};
+  run_scale_out(Mechanism::kShutdownRestart, initial, join);
+  run_scale_out(Mechanism::kElan, initial, join);
+  const auto record = dump_and_read("fig10");
+  std::uint64_t most = 0;
+  for (const auto& ring : record.rings) {
+    EXPECT_EQ(ring.total, ring.events.size()) << "ring of thread " << ring.thread;
+    most = std::max(most, ring.total);
+  }
+  EXPECT_GT(most, 2u * obs::FlightRecorder::kRingCapacity);
+
+  const auto timeline = obs::build_timeline({record});
+  const auto summary = obs::summarize_timeline(timeline);
+  EXPECT_EQ(summary.lost_events, 0u);
+  EXPECT_EQ(summary.rows.size(), 16u);
+  // The record's own lane plus one per mechanism run.
+  EXPECT_EQ(timeline.lane_names,
+            (std::vector<std::string>{"record 0", "S&R", "Elan"}));
+}
+
 TEST_F(TracerTest, ThreadPoolQueueWaitSpansUnderParallelFor) {
-  obs::Tracer::instance().set_enabled(true);
-  ThreadPool pool(4);
+  // One pool for every --gtest_repeat iteration: the recorder keeps at most
+  // kMaxThreads thread rings per process, and each fresh thread takes one.
+  static ThreadPool pool(4);
   std::atomic<int> sum{0};
   pool.parallel_for(0, 64, 1, [&](std::int64_t b, std::int64_t e) {
     sum += static_cast<int>(e - b);
   });
   EXPECT_EQ(sum.load(), 64);
-  const auto events = obs::Tracer::instance().snapshot();
+  const auto timeline = dump_timeline("thread_pool");
   std::size_t runs = 0;
-  for (const auto& e : events) {
-    if (std::string_view(e.category) == "threadpool" && e.name == "task_run") ++runs;
+  for (const auto& e : timeline.events) {
+    if (e.category == "threadpool" && e.name == "task_run") ++runs;
   }
   EXPECT_EQ(runs, 64u);
 }

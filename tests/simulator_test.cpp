@@ -86,6 +86,20 @@ TEST(Simulator, RejectsPastAbsoluteTime) {
   EXPECT_THROW(s.schedule_at(1.0, [] {}), InvalidArgument);
 }
 
+// The bus's delivery primitive: the later of now() + delay and a floor, with
+// the clock read under the insertion lock. A floor already in the past never
+// throws — that is the point — and the chosen time is what fires.
+TEST(Simulator, ScheduleNoEarlierTakesTheLaterOfDelayAndFloor) {
+  Simulator s;
+  s.run_until(5.0);
+  std::vector<double> fired;
+  EXPECT_EQ(s.schedule_no_earlier(1.0, 3.0, [&] { fired.push_back(s.now()); }), 6.0);
+  EXPECT_EQ(s.schedule_no_earlier(1.0, 7.5, [&] { fired.push_back(s.now()); }), 7.5);
+  EXPECT_THROW(s.schedule_no_earlier(-1.0, 0.0, [] {}), InvalidArgument);
+  s.run();
+  EXPECT_EQ(fired, (std::vector<double>{6.0, 7.5}));
+}
+
 TEST(Simulator, CountsExecutedEvents) {
   Simulator s;
   for (int i = 0; i < 10; ++i) s.schedule(i, [] {});

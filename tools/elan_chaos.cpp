@@ -43,7 +43,9 @@ int main(int argc, char** argv) {
   flags.define("budget-seconds", "0", "stop after this much wall time (0 = run all plans)");
   flags.define("check-determinism", "false", "run each plan twice and compare fingerprints");
   flags.define("verbose", "false", "print every plan and result, not just failures");
-  flags.define("trace", "", "write a Chrome trace-event JSON here (same as ELAN_TRACE)");
+  flags.define("trace", "",
+               "write a trace record of the last plan here (same as ELAN_TRACE; "
+               "read it with elan_trace_report)");
   flags.define("flight", "",
                "enable the flight recorder; a failing seed dumps <prefix>.seed<seed>.flt "
                "for elan_postmortem");

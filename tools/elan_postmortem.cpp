@@ -14,6 +14,7 @@
 // Output is a pure function of the record bytes: two runs over the same
 // files produce byte-identical text (the determinism test relies on it).
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -99,6 +100,13 @@ std::string describe_args(const FlightEvent& e) {
       return "lock-order violation; process dying";
     case FlightEventKind::kCheckFailed:
       return detail + ":" + u(e.a);
+    case FlightEventKind::kSpan:
+      return detail + " " + std::to_string(std::bit_cast<double>(e.a) / 1e3) +
+             "ms lane=" + u(e.b);
+    case FlightEventKind::kCounter:
+      return detail + "=" + std::to_string(std::bit_cast<double>(e.a));
+    default:
+      break;
   }
   return detail;
 }
